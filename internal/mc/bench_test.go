@@ -61,3 +61,24 @@ func BenchmarkReplication(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRareReplication measures one rare-mode replication of the
+// 2-of-3 manual-restart reduction behind BENCH_rare.json (MTBF 5000 h,
+// restart 1 h, horizon 50 h, forcing ×30, split [2]×3) on a pooled
+// simulator, so the number is the event loop with its splitting branches
+// rather than construction.
+func BenchmarkRareReplication(b *testing.B) {
+	cfg := kofnConfig(profile.Majority, 3, 1, 50)
+	cfg.Rare = RareEventConfig{ProcessBias: 30, SplitLevels: []int{2}, SplitFactor: 3}
+	ss, err := NewSession(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := ss.Replicate(i); res.RarePaths == 0 {
+			b.Fatal("no path reached the horizon")
+		}
+	}
+}

@@ -165,36 +165,62 @@ func TestRareAgreesWithMarkov(t *testing.T) {
 
 // TestRareAgreesWithBruteForce cross-checks the accelerated estimator
 // against plain Monte Carlo at a moderate unavailability both engines can
-// resolve: the two estimates must agree within their combined intervals.
+// resolve: in every case the two estimates must agree within their
+// combined intervals. The crew case makes hardware failures matter —
+// finite host MTBF, forced hardware failures and one repair crew — so a
+// host repair queued behind another runs under biasing.
 func TestRareAgreesWithBruteForce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rare-event agreement skipped in -short mode")
 	}
-	base := kofnConfig(profile.Majority, 3, 200, 3000) // U ≈ 4e-3
-	naive, err := Run(base, 400, 0.99)
-	if err != nil {
-		t.Fatal(err)
+	crews := kofnConfig(profile.Majority, 3, 200, 3000)
+	crews.HostMTBF, crews.HostRepair = 4000, 150
+	crews.RepairCrews = 1
+	cases := []struct {
+		name string
+		base Config
+		rare RareEventConfig
+	}{
+		{
+			name: "2-of-3-forcing-and-splitting",
+			base: kofnConfig(profile.Majority, 3, 200, 3000), // U ≈ 4e-3
+			rare: RareEventConfig{ProcessBias: 4, SplitLevels: []int{2}, SplitFactor: 2},
+		},
+		{
+			name: "2-of-3-hardware-forcing-one-crew",
+			base: crews,
+			rare: RareEventConfig{ProcessBias: 1.5, HardwareBias: 2},
+		},
 	}
-	rare := base
-	rare.Rare = RareEventConfig{ProcessBias: 4, SplitLevels: []int{2}, SplitFactor: 2}
-	acc, err := Run(rare, 400, 0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := math.Abs(naive.CPUnavailability.Mean - acc.CPUnavailability.Mean)
-	lim := naive.CPUnavailability.HalfWide + acc.CPUnavailability.HalfWide
-	if d > lim {
-		t.Errorf("naive %.4e ± %.1e vs rare %.4e ± %.1e disagree (|Δ| = %.2e > %.2e)",
-			naive.CPUnavailability.Mean, naive.CPUnavailability.HalfWide,
-			acc.CPUnavailability.Mean, acc.CPUnavailability.HalfWide, d, lim)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			naive, err := Run(c.base, 400, 0.99)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rare := c.base
+			rare.Rare = c.rare
+			acc, err := Run(rare, 400, 0.99)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := math.Abs(naive.CPUnavailability.Mean - acc.CPUnavailability.Mean)
+			lim := naive.CPUnavailability.HalfWide + acc.CPUnavailability.HalfWide
+			if d > lim {
+				t.Errorf("naive %.4e ± %.1e vs rare %.4e ± %.1e disagree (|Δ| = %.2e > %.2e)",
+					naive.CPUnavailability.Mean, naive.CPUnavailability.HalfWide,
+					acc.CPUnavailability.Mean, acc.CPUnavailability.HalfWide, d, lim)
+			}
+		})
 	}
 }
 
-// TestRareDisabledBitIdentity pins the bypass contract: a config whose
-// rare settings are the explicit identity (biases of exactly 1) takes the
-// unbiased engine path and produces a byte-identical estimate — including
-// per-replication results and attribution ledgers — to the zero-value
-// default at the same seeds.
+// TestRareDisabledBitIdentity pins the identity contract of the single
+// event loop: a config whose rare settings are the explicit identity
+// (biases of exactly 1) keeps the loop on its unweighted accumulator
+// policy, draws every failure from mtbf/1, and produces a byte-identical
+// estimate — including per-replication results and attribution ledgers —
+// to the zero-value default at the same seeds.
 func TestRareDisabledBitIdentity(t *testing.T) {
 	base := goldenConfig(t)
 	ident := goldenConfig(t)

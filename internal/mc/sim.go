@@ -36,6 +36,10 @@ type entity struct {
 	name  string
 	up    bool
 	mtbf  float64
+	// failMean is the mean of the entity's failure draws: mtbf divided by
+	// the rare-event forcing factor of its kind (1 when unbiased, so the
+	// plain engine draws exactly mtbf).
+	failMean float64
 	// repair is the per-entity mean repair time for kindLink entities
 	// (links carry individual MTTRs); other kinds use the Config times.
 	repair float64
@@ -105,8 +109,9 @@ type Sim struct {
 	// (Connectivity is single-consumer).
 	conn *topology.Connectivity
 	// rare is the rare-event acceleration state, nil unless
-	// Config.Rare is enabled. A nil rare leaves the unbiased event loop
-	// byte-for-byte untouched.
+	// Config.Rare is enabled. The event loop is the same either way; a
+	// non-nil rare switches its accumulator to the likelihood-ratio-
+	// weighted policy and lets it split paths.
 	rare *rareRun
 
 	// running indicators
@@ -289,6 +294,7 @@ func (s *Sim) reset(replication int) {
 // addEntity appends an entity and returns its index.
 func (s *Sim) addEntity(e entity) int {
 	e.up = true
+	e.failMean = e.mtbf / s.cfg.Rare.bias(e.kind)
 	s.entities = append(s.entities, e)
 	return len(s.entities) - 1
 }
@@ -597,7 +603,12 @@ func (s *Sim) localUp(ch *computeHost) bool {
 	return true
 }
 
-// refresh recomputes the plane indicators, tracking CP outage statistics.
+// refresh recomputes the plane indicators. On a CP or host-DP
+// transition the plain engine drives the telemetry ledger and records
+// the CP outage's duration; the rare engine instead holds the blame set
+// on the current path, because splitting branches diverge mid outage
+// and cannot share an open ledger interval (accumulateRare attributes
+// the weighted downtime as it accrues).
 func (s *Sim) refresh() {
 	sat := s.groupsSatisfied(s.cpGroups)
 	cp := sat
@@ -607,16 +618,23 @@ func (s *Sim) refresh() {
 		cp = sat && s.raft.cpUp()
 	}
 	if cp != s.cpUp {
+		var blames []string
 		if !cp {
 			s.cpStart = s.now
-			blames := s.cpBlames()
+			blames = s.cpBlames()
 			if s.raft != nil && sat {
 				// Quorum holds: only the raft layer explains the outage.
 				blames = s.raft.blames()
 			}
-			s.ledger.PlaneDown("cp", s.now, blames)
 		} else {
 			s.cpOutages++
+		}
+		switch {
+		case s.rare != nil:
+			s.rare.cpBlame = blames
+		case !cp:
+			s.ledger.PlaneDown("cp", s.now, blames)
+		default:
 			s.cpDowntime += s.now - s.cpStart
 			s.durations = append(s.durations, s.now-s.cpStart)
 			s.ledger.PlaneUp("cp", s.now)
@@ -642,9 +660,16 @@ func (s *Sim) refresh() {
 	for i := range s.hosts {
 		up := (s.sdpUp || headless) && s.localUp(&s.hosts[i])
 		if up != s.hostUp[i] {
+			var blames []string
 			if !up {
-				s.ledger.PlaneDown(hostPlane(i), s.now, s.hostBlames(i))
-			} else {
+				blames = s.hostBlames(i)
+			}
+			switch {
+			case s.rare != nil:
+				s.rare.hostBlame[i] = blames
+			case !up:
+				s.ledger.PlaneDown(hostPlane(i), s.now, blames)
+			default:
 				s.ledger.PlaneUp(hostPlane(i), s.now)
 			}
 			s.hostUp[i] = up
@@ -652,9 +677,14 @@ func (s *Sim) refresh() {
 	}
 }
 
-// accumulate credits dt of wall time to every indicator that is up.
+// accumulate credits dt of wall time to every indicator that is up. The
+// rare engine credits the likelihood-ratio-weighted downtime instead.
 func (s *Sim) accumulate(dt float64) {
 	if dt <= 0 {
+		return
+	}
+	if s.rare != nil {
+		s.accumulateRare(dt)
 		return
 	}
 	if s.cpUp {
@@ -696,13 +726,18 @@ const cancelCheckMask = 4095
 // the replication is abandoned mid-flight and runCancel reports false with
 // a zero Result (a partial replication is a biased sample, never folded).
 // A nil done compiles to the plain uncancellable run.
+//
+// It is the simulator's only event loop, in both modes. The outer loop
+// runs one path to the horizon (or, in rare mode, until it is killed at
+// its creation threshold), then resumes the most recent pending
+// splitting branch or stops; the plain engine never splits, so it runs
+// exactly one path. The modes differ only in how accumulate and refresh
+// account a path, in the rare-only per-flip bookkeeping and split
+// checks, and in how the Result is assembled.
 func (s *Sim) runCancel(done <-chan struct{}) (Result, bool) {
-	if s.rare != nil {
-		return s.runRareCancel(done)
-	}
 	// Initial failure schedule: everything starts up.
 	for i := range s.entities {
-		s.schedule(s.exp(s.entities[i].mtbf), i, false)
+		s.schedule(s.exp(s.entities[i].failMean), i, false)
 	}
 	if s.raft != nil {
 		s.raft.start(s)
@@ -714,65 +749,93 @@ func (s *Sim) runCancel(done <-chan struct{}) (Result, bool) {
 	}
 
 	horizon := s.cfg.Horizon
-	for s.events.len() > 0 {
-		if done != nil && s.nEvents&cancelCheckMask == cancelCheckMask {
-			select {
-			case <-done:
-				return Result{}, false
-			default:
-			}
-		}
-		ev := s.events.pop()
-		if ev.at >= horizon {
-			break
-		}
-		s.accumulate(ev.at - s.now)
-		s.now = ev.at
-		if s.raft != nil && ev.entity <= raftElectionEntity {
-			s.raft.handle(s, ev)
-		} else if ev.entity >= 0 {
-			e := &s.entities[ev.entity]
-			e.up = ev.up
-			if e.kind == kindLink {
-				// Mirror the flip into the incremental reachability
-				// tracker; refresh() below re-evaluates the quorum groups
-				// against the new dirty component.
-				s.conn.SetLink(e.link, ev.up)
-			}
-			if ev.up {
-				s.schedule(s.now+s.exp(e.mtbf), ev.entity, false)
-				if e.kind != kindProcess && e.kind != kindLink && s.cfg.RepairCrews > 0 {
-					s.crewsBusy--
-					if len(s.crewQueue) > 0 {
-						next := s.crewQueue[0]
-						s.crewQueue = s.crewQueue[1:]
-						s.startRepair(next)
-					}
+	for {
+		killed := false
+		for s.events.len() > 0 {
+			if done != nil && s.nEvents&cancelCheckMask == cancelCheckMask {
+				select {
+				case <-done:
+					return Result{}, false
+				default:
 				}
-			} else {
-				// Link repairs are never crew-limited: the crews model
-				// rack/host/VM hardware technicians, while link faults are
-				// cleared by the (independent) network operations team.
-				if e.kind != kindProcess && e.kind != kindLink && s.cfg.RepairCrews > 0 {
-					if s.crewsBusy >= s.cfg.RepairCrews {
-						s.crewQueue = append(s.crewQueue, ev.entity)
-					} else {
-						s.startRepair(ev.entity)
+			}
+			ev := s.events.pop()
+			if ev.at >= horizon {
+				break
+			}
+			s.accumulate(ev.at - s.now)
+			s.now = ev.at
+			if s.raft != nil && ev.entity <= raftElectionEntity {
+				s.raft.handle(s, ev)
+			} else if ev.entity >= 0 {
+				e := &s.entities[ev.entity]
+				e.up = ev.up
+				if e.kind == kindLink {
+					// Mirror the flip into the incremental reachability
+					// tracker; refresh() below re-evaluates the quorum groups
+					// against the new dirty component.
+					s.conn.SetLink(e.link, ev.up)
+				}
+				if s.rare != nil {
+					s.rare.flip(ev.entity, ev.up)
+				}
+				if ev.up {
+					s.schedule(s.now+s.exp(e.failMean), ev.entity, false)
+					if e.kind != kindProcess && e.kind != kindLink && s.cfg.RepairCrews > 0 {
+						s.crewsBusy--
+						if len(s.crewQueue) > 0 {
+							next := s.crewQueue[0]
+							s.crewQueue = s.crewQueue[1:]
+							s.startRepair(next)
+						}
 					}
 				} else {
-					s.schedule(s.now+s.repairTime(e), ev.entity, true)
+					// Link repairs are never crew-limited: the crews model
+					// rack/host/VM hardware technicians, while link faults are
+					// cleared by the (independent) network operations team.
+					if e.kind != kindProcess && e.kind != kindLink && s.cfg.RepairCrews > 0 {
+						if s.crewsBusy >= s.cfg.RepairCrews {
+							s.crewQueue = append(s.crewQueue, ev.entity)
+						} else {
+							s.startRepair(ev.entity)
+						}
+					} else {
+						s.schedule(s.now+s.repairTime(e), ev.entity, true)
+					}
 				}
 			}
+			s.refresh()
+			s.nEvents++
+			if s.rare != nil && s.rare.checkLevels(s) {
+				killed = true
+				break
+			}
 		}
-		s.refresh()
-		s.nEvents++
+		if !killed {
+			s.accumulate(horizon - s.now)
+			s.now = horizon
+			if !s.cpUp { // an outage still open at the horizon counts
+				s.cpOutages++
+			}
+		}
+		if s.rare == nil || !s.rare.nextPath(s, killed) {
+			break
+		}
 	}
-	s.accumulate(horizon - s.now)
-	s.now = horizon
-	if !s.cpUp { // close an open outage at the horizon
-		s.cpOutages++
-		s.cpDowntime += s.now - s.cpStart
-		s.durations = append(s.durations, s.now-s.cpStart)
+	if s.rare != nil {
+		return s.rare.result(s), true
+	}
+	return s.result(), true
+}
+
+// result assembles the plain engine's Result once its single path has
+// reached the horizon, closing the outage and ledger intervals still
+// open there.
+func (s *Sim) result() Result {
+	horizon := s.cfg.Horizon
+	if !s.cpUp {
+		s.cpDowntime += horizon - s.cpStart
+		s.durations = append(s.durations, horizon-s.cpStart)
 	}
 	s.ledger.CloseAll(horizon)
 
@@ -820,7 +883,7 @@ func (s *Sim) runCancel(done <-chan struct{}) (Result, bool) {
 		dpParts[i] = s.ledger.Attribution(hostPlane(i), horizon)
 	}
 	res.DPDowntimeByMode = modeMap(telemetry.Merge("dp", dpParts...))
-	return res, true
+	return res
 }
 
 // startRepair dispatches a crew to a failed hardware entity.

@@ -592,8 +592,8 @@ func RunSoakContext(ctx context.Context, sc SoakConfig) (SoakResult, error) {
 // layer via SimConfig.Rare: forced-failure biasing per entity kind and
 // multilevel importance splitting, both corrected by exact likelihood
 // ratios so the unavailability estimator stays unbiased. The zero value
-// disables the layer; the simulator is then bit-identical to the plain
-// event loop.
+// disables the layer; the simulator's event loop then runs unweighted,
+// bit-identical to a build without the layer.
 type RareEventConfig = mc.RareEventConfig
 
 // RareConfigError is the typed validation error for rare-event
