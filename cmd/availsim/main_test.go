@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -67,11 +69,11 @@ func TestRaftMirrorRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run skipped in -short mode")
 	}
-	var sb strings.Builder
-	err := run([]string{"-topology", "small", "-scenario", "1", "-reps", "2", "-horizon", "50000",
+	mirror := []string{"-topology", "small", "-scenario", "1", "-horizon", "50000",
 		"-raft-election-min", "0.04", "-raft-election-max", "0.08",
-		"-gray-mtbf", "500", "-gray-detect", "0.05"}, &sb)
-	if err != nil {
+		"-gray-mtbf", "500", "-gray-detect", "0.05"}
+	var sb strings.Builder
+	if err := run(append([]string{"-reps", "2"}, mirror...), &sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -84,6 +86,17 @@ func TestRaftMirrorRun(t *testing.T) {
 		}
 	}
 
+	// The adaptive path folds the same two replications, so it must report
+	// the same leadership dynamics as the fixed-count run.
+	var adaptive strings.Builder
+	if err := run(append([]string{"-ci-target", "1", "-min-reps", "2", "-max-reps", "2"}, mirror...), &adaptive); err != nil {
+		t.Fatal(err)
+	}
+	fixedN, adaptiveN := leaderElections(t, out), leaderElections(t, adaptive.String())
+	if fixedN == 0 || adaptiveN != fixedN {
+		t.Errorf("leader elections: fixed-count run %d, adaptive run %d; want equal and non-zero", fixedN, adaptiveN)
+	}
+
 	// Invalid raft tunings are rejected by config validation.
 	if err := run([]string{"-raft-election-min", "0.1"}, &sb); err == nil {
 		t.Error("raft min without max accepted")
@@ -91,6 +104,20 @@ func TestRaftMirrorRun(t *testing.T) {
 	if err := run([]string{"-gray-mtbf", "100"}, &sb); err == nil {
 		t.Error("gray mtbf without mirror accepted")
 	}
+}
+
+// leaderElections reads the "leader elections" row of a RAFT report.
+func leaderElections(t *testing.T, out string) int {
+	t.Helper()
+	m := regexp.MustCompile(`leader elections\s+(\d+)`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no leader elections row in:\n%s", out)
+	}
+	n, err := strconv.Atoi(m[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestSoakInterrupted: a cancelled context (the SIGINT path) truncates

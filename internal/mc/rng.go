@@ -24,7 +24,8 @@ func (r *rng) seed(s int64) { r.state = uint64(s) }
 // goroutine runs the replication, or of what ran before it — so any
 // partition of the index range [0, R) across workers reproduces exactly
 // the samples a single process would draw. That property is what lets a
-// sharded run (sweep.RunRemote) merge to a bit-identical estimate.
+// sharded run (sweep.RunRemote) feed those samples, in index order, to the
+// same Fold a local run uses and merge to a bit-identical estimate.
 func ReplicationSeed(seed int64, replication int) int64 {
 	return seed + int64(replication)*1_000_003
 }

@@ -197,62 +197,14 @@ func runWorkersContext(ctx context.Context, cfg Config, replications int, level 
 	}()
 
 	// Fold strictly in replication order: workers finish out of order, so
-	// early arrivals wait in pending until their turn. Welford updates and
-	// the per-mode sums are floating-point, hence order-sensitive — the
-	// ordered fold is what makes the estimate independent of the worker
-	// count. pending holds at most ~workers entries.
-	var cp, sdp, dp, elec, wrongRead stats.Accumulator
-	var cpU stats.WeightedAccumulator
-	cpModes, dpModes := map[string]float64{}, map[string]float64{}
-	elections, electionHours := 0, 0.0
-	rarePaths, rareSplits, rareKills := 0, 0, 0
-	sumW, hitW := 0.0, 0.0
-	var results []Result
-	if cfg.KeepResults {
-		results = make([]Result, replications)
-	}
-	folded := 0
-	var foldedReps []int // replication indices folded, for truncated compaction
-	fold := func(rep int, res Result) {
-		folded++
-		if results != nil {
-			foldedReps = append(foldedReps, rep)
-		}
-		cp.Add(res.CPAvailability)
-		sdp.Add(res.SharedDPAvailability)
-		dp.Add(res.HostDPAvailability)
-		// The weighted fold: each replication's unavailability estimate is
-		// unbiased on its own, so the estimator is the plain mean of the
-		// samples; feeding (U/W, W) keeps that mean exact while letting the
-		// terminal weights drive the effective-sample-size diagnostic. An
-		// unbiased run has W = 1 everywhere and degrades to the plain fold.
-		w := res.RareTotalWeight
-		if w <= 0 {
-			w = 1
-		}
-		cpU.Add(res.CPUnavailability/w, w)
-		sumW += w
-		hitW += res.RareHitWeight
-		rarePaths += res.RarePaths
-		rareSplits += res.RareSplits
-		rareKills += res.RareKills
-		elec.Add(res.CPElectionDowntime / res.Hours)
-		wrongRead.Add(res.CPWrongReadDowntime / res.Hours)
-		elections += res.LeaderElections
-		electionHours += res.ElectionHoursTotal
-		for m, h := range res.CPDowntimeByMode {
-			cpModes[m] += h / float64(replications)
-		}
-		for m, h := range res.DPDowntimeByMode {
-			dpModes[m] += h / float64(replications)
-		}
-	}
+	// early arrivals wait in pending until their turn. The fold is
+	// order-sensitive floating point — the ordered reduction is what makes
+	// the estimate independent of the worker count. pending holds at most
+	// ~workers entries.
+	f := NewFold(cfg.KeepResults, replications)
 	pending := make(map[int]Result, workers)
 	nextFold := 0
 	for rr := range out {
-		if results != nil {
-			results[rr.rep] = rr.res
-		}
 		pending[rr.rep] = rr.res
 		for {
 			res, ok := pending[nextFold]
@@ -260,7 +212,7 @@ func runWorkersContext(ctx context.Context, cfg Config, replications int, level 
 				break
 			}
 			delete(pending, nextFold)
-			fold(nextFold, res)
+			f.Add(res)
 			nextFold++
 		}
 	}
@@ -275,64 +227,12 @@ func runWorkersContext(ctx context.Context, cfg Config, replications int, level 
 		}
 		sort.Ints(rest)
 		for _, rep := range rest {
-			fold(rep, pending[rep])
+			f.Add(pending[rep])
 		}
 	}
-	truncated := folded < replications
-	if truncated {
-		if folded == 0 {
-			return Estimate{Truncated: true}, ctx.Err()
-		}
-		// The mode sums divided by the requested count during the fold (the
-		// bit-compatible full-run arithmetic); rescale to the partial count
-		// so a truncated estimate still means "mean hours per replication".
-		scale := float64(replications) / float64(folded)
-		for m := range cpModes {
-			cpModes[m] *= scale
-		}
-		for m := range dpModes {
-			dpModes[m] *= scale
-		}
-		if results != nil {
-			// foldedReps is ascending: the contiguous prefix folds first and
-			// the post-close remainder all lies above it, sorted.
-			compact := make([]Result, 0, folded)
-			for _, rep := range foldedReps {
-				compact = append(compact, results[rep])
-			}
-			results = compact
-		}
-	}
-	est := Estimate{
-		CP:                        cp.ConfidenceInterval(level),
-		SharedDP:                  sdp.ConfidenceInterval(level),
-		HostDP:                    dp.ConfidenceInterval(level),
-		CPUnavailability:          cpU.ConfidenceInterval(level),
-		RareESS:                   cpU.ESS(),
-		RareHitProb:               hitProb(hitW, sumW),
-		RarePaths:                 rarePaths,
-		RareSplits:                rareSplits,
-		RareKills:                 rareKills,
-		CPDowntimeByMode:          cpModes,
-		DPDowntimeByMode:          dpModes,
-		CPElectionUnavailability:  elec.ConfidenceInterval(level),
-		CPWrongReadUnavailability: wrongRead.ConfidenceInterval(level),
-		Elections:                 elections,
-		Replications:              folded,
-		Truncated:                 truncated,
-		Results:                   results,
-	}
-	if elections > 0 {
-		est.MeanElectionHours = electionHours / float64(elections)
+	est := f.Estimate(level)
+	if est.Replications == 0 {
+		return Estimate{Truncated: true}, ctx.Err()
 	}
 	return est, nil
-}
-
-// hitProb folds the weighted hit indicator into the self-normalized hit
-// probability (0 when nothing folded).
-func hitProb(hitW, sumW float64) float64 {
-	if sumW <= 0 {
-		return 0
-	}
-	return hitW / sumW
 }

@@ -32,33 +32,60 @@ func testConfig(t testing.TB, seed int64) mc.Config {
 	return cfg
 }
 
-// TestFixedCountMatchesMCRun pins the sweep fold to the engine's: with
-// adaptation disabled, a point's intervals must be bit-identical to
-// mc.Run at the same replication count (same session, same seeds, same
-// Welford order). The mode means divide once at the end instead of per
-// replication, so they carry FP slack.
+// TestFixedCountMatchesMCRun pins the sweep to the engine: with adaptation
+// disabled, a point's estimate must be bit-identical to mc.Run at the same
+// replication count (same session, same seeds, same fold). The mode means
+// divide once at the end instead of per replication, so they carry FP
+// slack. The RAFT-mirror case pins the leadership statistics too.
 func TestFixedCountMatchesMCRun(t *testing.T) {
-	cfg := testConfig(t, 1)
+	raft := testConfig(t, 1)
+	raft.RaftElectionMin, raft.RaftElectionMax = 0.04, 0.08
+	raft.GrayLeaderMTBF, raft.GrayDetect = 500, 0.05
+	cases := []struct {
+		name string
+		cfg  mc.Config
+	}{
+		{"plain", testConfig(t, 1)},
+		{"raft-mirror", raft},
+	}
 	const reps = 50
-	res, err := Run([]Point{{ID: "fixed", Config: cfg}}, Options{MaxReps: reps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := mc.Run(cfg, reps, 0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res[0]
-	if got.Replications != reps || !got.Converged {
-		t.Fatalf("fixed-count point ran %d reps, converged %v; want %d, true", got.Replications, got.Converged, reps)
-	}
-	if got.Estimate.CP != want.CP || got.Estimate.SharedDP != want.SharedDP || got.Estimate.HostDP != want.HostDP {
-		t.Errorf("sweep intervals diverge from mc.Run:\nsweep: %+v\nmc:    %+v", got.Estimate.CP, want.CP)
-	}
-	for m, h := range want.CPDowntimeByMode {
-		if g := got.Estimate.CPDowntimeByMode[m]; math.Abs(g-h) > 1e-9*(1+math.Abs(h)) {
-			t.Errorf("mode %s: sweep %g, mc.Run %g", m, g, h)
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := Run([]Point{{ID: c.name, Config: c.cfg}}, Options{MaxReps: reps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := mc.Run(c.cfg, reps, 0.99)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := res[0]
+			if got.Replications != reps || !got.Converged {
+				t.Fatalf("fixed-count point ran %d reps, converged %v; want %d, true", got.Replications, got.Converged, reps)
+			}
+			e := got.Estimate
+			if e.CP != want.CP || e.SharedDP != want.SharedDP || e.HostDP != want.HostDP {
+				t.Errorf("sweep intervals diverge from mc.Run:\nsweep: %+v\nmc:    %+v", e.CP, want.CP)
+			}
+			if e.Elections != want.Elections || e.MeanElectionHours != want.MeanElectionHours {
+				t.Errorf("elections %d (mean %.17g h), mc.Run %d (mean %.17g h)",
+					e.Elections, e.MeanElectionHours, want.Elections, want.MeanElectionHours)
+			}
+			if e.CPElectionUnavailability != want.CPElectionUnavailability ||
+				e.CPWrongReadUnavailability != want.CPWrongReadUnavailability {
+				t.Errorf("election/wrong-read unavailability %+v / %+v, mc.Run %+v / %+v",
+					e.CPElectionUnavailability, e.CPWrongReadUnavailability,
+					want.CPElectionUnavailability, want.CPWrongReadUnavailability)
+			}
+			if c.cfg.RaftElectionMax > 0 && want.Elections == 0 {
+				t.Error("RAFT-mirror case ran no elections; the comparison is vacuous")
+			}
+			for m, h := range want.CPDowntimeByMode {
+				if g := e.CPDowntimeByMode[m]; math.Abs(g-h) > 1e-9*(1+math.Abs(h)) {
+					t.Errorf("mode %s: sweep %g, mc.Run %g", m, g, h)
+				}
+			}
+		})
 	}
 }
 
