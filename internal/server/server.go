@@ -557,6 +557,12 @@ func (s *Server) computeMC(ctx context.Context, req mcRequest, emit func(sweep.R
 	if err != nil {
 		return mcResponse{}, err
 	}
+	if res.Replications == 0 && ctx.Err() != nil {
+		// The deadline expired before the first replication: there is no
+		// estimate to return, only the retryable deadline error — the
+		// answer a sharded run (sweep.RunRemote) gives in the same case.
+		return mcResponse{}, ctx.Err()
+	}
 	if res.Truncated {
 		s.timeouts.Inc()
 	}

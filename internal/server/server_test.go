@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -232,6 +233,51 @@ func TestMCEndpointTruncatesAtDeadline(t *testing.T) {
 	}
 	if elapsed > 150*time.Millisecond+500*time.Millisecond {
 		t.Errorf("truncated answer took %v, want within ~deadline", elapsed)
+	}
+}
+
+// TestMCZeroReplicationsRetryable: a deadline that expires before the
+// first replication completes leaves no estimate to report. Single-node
+// and coordinator availd must give the same answer — 429 with Retry-After
+// on the plain endpoint, an error event and no result on the stream —
+// rather than a 200 carrying an all-zero interval.
+func TestMCZeroReplicationsRetryable(t *testing.T) {
+	// One large-topology replication at this horizon runs for many
+	// seconds, so a 1 ms deadline always lands before the first finishes.
+	const qs = "?topology=large&horizon=1e9&reps=64&timeout=1ms"
+	_, single := testServer(t, Config{})
+	_, coord := testServer(t, Config{ShardWorkers: shardWorkers(t, 2)})
+	for _, tc := range []struct{ name, base string }{
+		{"single-node", single.URL},
+		{"coordinator", coord.URL},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Get(tc.base + "/api/v1/mc" + qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+				t.Errorf("/api/v1/mc: status %d, Retry-After %q, body %s; want 429 with Retry-After",
+					resp.StatusCode, resp.Header.Get("Retry-After"), body)
+			}
+
+			resp, err = http.Get(tc.base + "/api/v1/mc/stream" + qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			events := readSSE(t, resp)
+			if len(events) == 0 || events[len(events)-1].name != "error" {
+				t.Fatalf("/api/v1/mc/stream: events %+v, want a terminal error event", events)
+			}
+			for _, ev := range events {
+				if ev.name == "result" {
+					t.Errorf("/api/v1/mc/stream: result event %s for a run with no replications", ev.data)
+				}
+			}
+		})
 	}
 }
 
