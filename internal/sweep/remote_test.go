@@ -67,10 +67,12 @@ func shardedExec(t testing.TB, cfg mc.Config, k int) ShardExec {
 // sharded across 1, 2 or 3 simulated worker processes — samples JSON
 // round-tripped and delivered out of order — must reproduce the
 // single-process sweep result bit for bit, for fixed-count, adaptive and
-// rare-event configurations alike.
+// rare-event configurations alike, and with per-replication Results kept.
 func TestRunRemoteBitIdentical(t *testing.T) {
 	rareCfg := quorumConfig(2, 120)
 	rareCfg.Rare = AutoRare(rareCfg)
+	keepCfg := testConfig(t, 7)
+	keepCfg.KeepResults = true
 	cases := []struct {
 		name string
 		cfg  mc.Config
@@ -79,6 +81,7 @@ func TestRunRemoteBitIdentical(t *testing.T) {
 		{"fixed", testConfig(t, 7), Options{MaxReps: 48}},
 		{"adaptive", testConfig(t, 7), Options{CITarget: 1e-3, MinReps: 8, MaxReps: 256, Batch: 16}},
 		{"rare", rareCfg, Options{Confidence: 0.95, RelTarget: 0.5, MinReps: 64, MaxReps: 2048, Batch: 256}},
+		{"keep-results", keepCfg, Options{CITarget: 1e-3, MinReps: 8, MaxReps: 64, Batch: 16}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
